@@ -25,6 +25,7 @@
 
 #include "src/baselines/baseline.h"
 #include "src/benchgen/benchmarks.h"
+#include "src/engine/reclaim_service.h"
 #include "src/gent/gent.h"
 #include "src/metrics/divergence.h"
 #include "src/metrics/precision_recall.h"
@@ -206,27 +207,43 @@ inline MethodRow RunGenT(const TpTrBenchmark& bench, size_t max_sources,
       per_source);
 }
 
-/// Gen-T over a benchmark through the batch engine: one shared
-/// ColumnStatsCatalog, `threads` workers, per-source budgets applied
-/// inside each worker. Metrics match RunGenT (results are bit-identical
-/// to the serial path); per-source seconds are the summed phase timings
-/// (wall clock inside the worker, excluding queueing).
+/// A one-shot ReclaimService over `lake`, the batch path: the lake's
+/// dictionary, no discovery cache (every source runs cold), `threads`
+/// pool workers (0 = hardware concurrency). Registering a lake on its
+/// own dictionary only fails on a bug, so a failure exits the bench.
+inline std::unique_ptr<ReclaimService> OneShotService(const DataLake& lake,
+                                                      size_t threads) {
+  ServiceOptions options;
+  options.dict = lake.dict();
+  options.cache_capacity = 0;
+  options.num_threads = threads;
+  auto service = std::make_unique<ReclaimService>(std::move(options));
+  if (Status s = service->AddLakeView("lake", lake); !s.ok()) {
+    std::fprintf(stderr, "AddLakeView: %s\n", s.ToString().c_str());
+    std::exit(1);
+  }
+  return service;
+}
+
+/// Gen-T over a benchmark through the batch path (OneShotService):
+/// `threads` workers, per-source budgets applied inside each worker.
+/// Metrics match RunGenT (results are bit-identical to the serial path);
+/// per-source seconds are the summed phase timings (wall clock inside
+/// the worker, excluding queueing).
 inline MethodRow RunGenTBatch(const TpTrBenchmark& bench, size_t max_sources,
                               double timeout_s, size_t threads,
-                              std::vector<PerSource>* per_source = nullptr,
-                              GenTConfig config = {}) {
-  GenT gent(*bench.lake, config);
+                              std::vector<PerSource>* per_source = nullptr) {
   size_t limit = std::min(max_sources, bench.sources.size());
   std::vector<Table> sources;
   sources.reserve(limit);
   for (size_t i = 0; i < limit; ++i) {
     sources.push_back(bench.sources[i].source.Clone());
   }
-  BatchOptions options;
-  options.num_threads = threads;
-  options.timeout_seconds = timeout_s;
-  options.max_rows = 2000000;
-  auto results = gent.ReclaimBatch(sources, options);
+  ReclaimRequest request;
+  request.timeout_seconds = timeout_s;
+  request.max_rows = 2000000;
+  auto results =
+      OneShotService(*bench.lake, threads)->ReclaimBatch(sources, request);
 
   MethodRow row;
   row.method = "Gen-T (batch x" + std::to_string(threads) + ")";

@@ -57,26 +57,26 @@ int main() {
     size_t gent_perfect = 0, gent_dup = 0, evaluated = 0;
 
     size_t limit = std::min(max_sources, bench->source_indices.size());
-    // One GenT — one ColumnStatsCatalog — for the whole corpus; the
-    // leave-one-out exclusion is applied per source by the batch engine
-    // instead of rebuilding the index 515 times.
+    // The batch path builds one catalog for the whole corpus (not one
+    // index per source) and applies the leave-one-out exclusion per
+    // source; `gent` serves the baselines' candidate discovery.
     GenT gent(*bench->lake);
     std::vector<Table> sources;
     sources.reserve(limit);
     for (size_t k = 0; k < limit; ++k) {
       sources.push_back(bench->lake->table(bench->source_indices[k]).Clone());
     }
-    BatchOptions batch;
-    // Default 1 worker: the per-source deadline below gates which
-    // sources enter every method's comparison set, so contention-induced
-    // timeouts would make the reported table load-dependent. The shared
-    // catalog (vs. one index build per source) is the win either way;
-    // raise GENT_THREADS on an idle many-core box.
-    batch.num_threads = EnvSize("GENT_THREADS", 1);
-    batch.timeout_seconds = timeout;
-    batch.max_rows = 500000;
-    batch.exclude_source_name = true;
-    auto gent_results = gent.ReclaimBatch(sources, batch);
+    ReclaimRequest request;
+    request.timeout_seconds = timeout;
+    request.max_rows = 500000;
+    request.exclude_source_name = true;
+    // Default 1 worker: the per-source deadline gates which sources
+    // enter every method's comparison set, so contention-induced
+    // timeouts would make the reported table load-dependent. Raise
+    // GENT_THREADS on an idle many-core box.
+    auto gent_results =
+        OneShotService(*bench->lake, EnvSize("GENT_THREADS", 1))
+            ->ReclaimBatch(sources, request);
 
     for (size_t k = 0; k < limit; ++k) {
       const Table& source = sources[k];

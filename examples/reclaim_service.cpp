@@ -1,6 +1,6 @@
 // Resident reclamation service: the server-shaped workflow.
 //
-// Batch tools (BulkReclaim) rebuild the column-stats catalog per run. A
+// A one-shot batch run rebuilds the column-stats catalog each time. A
 // service that answers reclamation requests continuously keeps the
 // expensive state resident instead: several lakes registered as catalog
 // shards, a bounded per-source discovery cache, and one worker pool.

@@ -3,8 +3,8 @@
 #include <functional>
 #include <numeric>
 
+#include "src/engine/column_stats_catalog.h"
 #include "src/integration/integrator.h"
-#include "src/lake/inverted_index.h"
 #include "src/ops/full_disjunction.h"
 #include "src/ops/unary.h"
 

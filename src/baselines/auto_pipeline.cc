@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "src/integration/integrator.h"
-#include "src/lake/inverted_index.h"
 #include "src/metrics/similarity.h"
 #include "src/ops/join.h"
 #include "src/ops/unary.h"

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "src/lake/inverted_index.h"
+#include "src/engine/column_stats_catalog.h"
 #include "src/ops/join.h"
 #include "src/ops/unary.h"
 #include "src/ops/union.h"

@@ -42,11 +42,6 @@ std::vector<std::pair<size_t, double>> DiversifyCandidateColumns(
 }
 
 Result<std::vector<Candidate>> Discovery::FindCandidates(
-    const Table& source) const {
-  return FindCandidates(source, OpLimits());
-}
-
-Result<std::vector<Candidate>> Discovery::FindCandidates(
     const Table& source, const OpLimits& limits) const {
   if (!source.has_key()) {
     return Status::InvalidArgument("source table must declare a key");

@@ -23,7 +23,7 @@
 //
 // Because the catalog is immutable after construction, any number of
 // threads may query it concurrently without synchronization — this is
-// the contract GenT::ReclaimBatch and ReclaimService build on (a
+// the contract GenT and ReclaimService's batch path build on (a
 // ReclaimService shard is exactly one catalog plus its lake; runtime
 // shard replacement swaps whole catalogs, never mutates one). The
 // mapped backend preserves this: the only mutable state behind a read
@@ -48,6 +48,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_set>
 #include <vector>
 
 #include "src/lake/data_lake.h"
@@ -328,6 +329,19 @@ std::vector<ValueId> SortedQueryValues(const Table& query);
 /// over the larger with advancing binary searches. Argument order never
 /// matters.
 size_t SortedIntersectionSize(ValueSpan a, ValueSpan b);
+
+/// Distinct non-null values of column `c` of `t` (hash-set form, used
+/// where callers intersect ad-hoc row subsets; lake columns go through
+/// ColumnStatsCatalog::SortedValues instead).
+std::unordered_set<ValueId> DistinctColumnValues(const Table& t, size_t c);
+
+/// |a ∩ b| for id sets. Guaranteed to probe the smaller set into the
+/// larger regardless of argument order (2–10× on skewed pairs), so
+/// non-catalog callers (baselines, ad-hoc row subsets) never need to
+/// order their arguments. Lake-column intersections should use the
+/// catalog's sorted sets + SortedIntersectionSize instead.
+size_t SetIntersectionSize(const std::unordered_set<ValueId>& a,
+                           const std::unordered_set<ValueId>& b);
 
 /// Membership in a sorted run.
 inline bool SortedContains(ValueSpan sorted, ValueId v) {

@@ -804,7 +804,7 @@ std::vector<Result<ReclamationResult>> ReclaimService::ReclaimBatch(
 
   ParallelFor(pool_.get(), sources.size(), [&](size_t i) {
     // Limits built per worker invocation: each source's wall-clock
-    // budget starts when ITS reclamation starts, as in GenT::ReclaimBatch.
+    // budget starts when ITS reclamation starts, not when the batch does.
     results[i] = ReclaimImpl(*admitted[i], request, *registry, traversal,
                              expand, LimitsFromRequest(request));
   });

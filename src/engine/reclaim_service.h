@@ -1,8 +1,8 @@
 // ReclaimService: a resident, multi-lake reclamation server (DESIGN.md
 // §5.5–§5.6).
 //
-// The per-call objects (GenT, BulkReclaim) build a ColumnStatsCatalog,
-// answer, and throw everything away. A service that reclaims sources
+// A per-call GenT builds a ColumnStatsCatalog, answers, and throws
+// everything away. A service that reclaims sources
 // continuously — the paper's workloads run 26–515 sources per lake, a
 // production deployment runs them forever — wants the opposite shape:
 //

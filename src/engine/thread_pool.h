@@ -9,9 +9,9 @@
 //     have finished, regardless of other traffic in the pool.
 //
 // Group waits are what let several independent phases share one
-// resident pool: GenT::ReclaimBatch waits only for its own per-source
-// tasks, so a concurrent batch — or the ReclaimService async admission
-// queue — running in the same pool never extends its wait.
+// resident pool: ReclaimService::ReclaimBatch waits only for its own
+// per-source tasks, so a concurrent batch — or the service's async
+// admission queue — running in the same pool never extends its wait.
 //
 // Thread safety: all methods are safe to call concurrently from any
 // number of threads. A Group must outlive every task submitted with it
@@ -99,17 +99,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
 };
 
-/// Runs fn(i) for every i in [0, n), sharded over `threads` workers via
-/// an internal pool (serial when threads <= 1). Blocks until done.
-void ParallelFor(size_t threads, size_t n,
-                 const std::function<void(size_t)>& fn);
-
-/// Same, on a caller-owned pool (serial when `pool` is null). Work is
-/// handed out through an atomic counter; callers that write only to
-/// their own index stay deterministic under any schedule. The pool can
-/// be reused across many calls (e.g. every round of a traversal), and
-/// the wait is group-scoped: concurrent ParallelFor calls — or async
-/// tasks — sharing the pool never extend each other's return.
+/// Runs fn(i) for every i in [0, n) on a caller-owned pool (serial when
+/// `pool` is null) and blocks until done. Work is handed out through an
+/// atomic counter; callers that write only to their own index stay
+/// deterministic under any schedule. The pool can be reused across many
+/// calls (e.g. every round of a traversal), and the wait is
+/// group-scoped: concurrent ParallelFor calls — or async tasks —
+/// sharing the pool never extend each other's return.
 void ParallelFor(ThreadPool* pool, size_t n,
                  const std::function<void(size_t)>& fn);
 

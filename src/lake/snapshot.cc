@@ -1,5 +1,6 @@
 #include "src/lake/snapshot.h"
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -95,7 +96,13 @@ class Writer {
 class Reader {
  public:
   explicit Reader(const std::string& path)
-      : file_(io::Fopen(path, "rb")) {}
+      : file_(io::Fopen(path, "rb")) {
+    if (file_ != nullptr && std::fseek(file_, 0, SEEK_END) == 0) {
+      const long end = std::ftell(file_);
+      size_ = end < 0 ? 0 : static_cast<uint64_t>(end);
+      failed_ |= std::fseek(file_, 0, SEEK_SET) != 0;
+    }
+  }
   ~Reader() {
     if (file_ != nullptr) std::fclose(file_);
   }
@@ -146,21 +153,27 @@ class Reader {
 
   std::FILE* file() { return file_; }
   uint64_t offset() const { return offset_; }
+  /// Bytes between the read position and the end of the file: the
+  /// bound every untrusted length field must fit before it sizes an
+  /// allocation or a loop.
+  uint64_t Remaining() const { return size_ > offset_ ? size_ - offset_ : 0; }
   uint64_t checksum() const { return checksum_.Finish(); }
 
   /// Repositions the reader at an absolute file offset (delta-run
   /// parsing jumps to blob offsets from the directory). The running
-  /// offset/checksum are body-relative and meaningless after a seek;
-  /// callers use them only before the first SeekTo.
+  /// checksum is body-relative and meaningless after a seek; callers
+  /// use it only before the first SeekTo.
   bool SeekTo(uint64_t off) {
     if (!ok()) return false;
     failed_ |= std::fseek(file_, static_cast<long>(off), SEEK_SET) != 0;
+    offset_ = off;
     return !failed_;
   }
 
  private:
   std::FILE* file_;
   bool failed_ = false;
+  uint64_t size_ = 0;
   uint64_t offset_ = 0;
   storage::Checksum64 checksum_;
 };
@@ -528,10 +541,18 @@ Status ParseSnapshotTable(Reader& r, DataLake& lake,
     GENT_RETURN_IF_ERROR(t.AddColumn(r.String()));
   }
   const uint32_t key_count = r.U32();
+  if (!r.ok() || key_count > r.Remaining() / sizeof(uint32_t)) {
+    return Status::IOError("truncated or corrupt snapshot key count");
+  }
   std::vector<size_t> keys;
   for (uint32_t k = 0; k < key_count; ++k) keys.push_back(r.U32());
   const uint64_t rows = r.U64();
   if (!r.ok()) return Status::IOError("truncated snapshot table");
+  // Every column stores `rows` ids (a column-less table stores none and
+  // has no rows).
+  if (rows > r.Remaining() / sizeof(ValueId) / std::max<uint32_t>(cols, 1)) {
+    return Status::IOError("corrupt snapshot: row count exceeds the file");
+  }
   std::vector<ValueId> column(rows);
   for (uint32_t c = 0; c < cols; ++c) {
     r.Bytes(column.data(), rows * sizeof(ValueId));
@@ -625,6 +646,11 @@ Status LoadSnapshotImpl(DataLake& lake, const std::string& path,
   // identity and a v2 file's catalog sections are directly usable.
   const uint64_t dict_size = r.U64();
   if (!r.ok()) return Status::IOError("truncated snapshot header");
+  // Every entry carries at least its 4-byte length prefix.
+  if (dict_size > r.Remaining() / sizeof(uint32_t)) {
+    return Status::IOError(
+        "corrupt snapshot: dictionary size exceeds the file");
+  }
   std::vector<ValueId> remap(dict_size, kNull);
   bool identity = true;
   for (uint64_t id = 0; id < dict_size; ++id) {

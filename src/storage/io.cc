@@ -144,6 +144,10 @@ size_t Fwrite(const void* src, size_t n, std::FILE* f) {
       SetInjectedErrno();
       return 0;
   }
+  // An empty write may pass a null `src` (an empty vector's data()),
+  // which fwrite must never see; it is consulted above all the same, so
+  // the injector's operation numbering does not depend on sizes.
+  if (n == 0) return 0;
   return std::fwrite(src, 1, n, f);
 }
 

@@ -132,7 +132,7 @@ class Table {
 /// True if `a` and `b` carry the same column names in the same order and
 /// identical cells in identical row order (table names may differ). This
 /// is the "bit-identical" predicate of the ReclaimBatch determinism
-/// contract (see src/gent/gent.h).
+/// contract (see src/engine/reclaim_service.h and DESIGN.md §5.2).
 bool TablesBitIdentical(const Table& a, const Table& b);
 
 }  // namespace gent

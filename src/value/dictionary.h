@@ -14,7 +14,8 @@
 // Thread safety: all methods may be called concurrently (guarded by a
 // shared_mutex; strings live in a deque so references returned by
 // StringOf stay valid across concurrent Interns). This is what lets
-// BulkReclaim run many reclamations against one lake in parallel.
+// ReclaimService::ReclaimBatch run many reclamations against one lake in
+// parallel.
 
 #ifndef GENT_VALUE_DICTIONARY_H_
 #define GENT_VALUE_DICTIONARY_H_

@@ -9,7 +9,7 @@
 #include "src/benchgen/tpch.h"
 #include "src/benchgen/variants.h"
 #include "src/benchgen/web_tables.h"
-#include "src/lake/inverted_index.h"
+#include "src/engine/column_stats_catalog.h"
 #include "src/table/table_builder.h"
 
 namespace gent {

@@ -1,7 +1,8 @@
-// Tests for parallel bulk reclamation (src/gent/bulk) and the
+// Tests for batch reclamation through ReclaimService::ReclaimBatch (a
+// one-shot service over one lake, as the benches use it) and the
 // thread-safety of the shared dictionary underneath it.
 
-#include "src/gent/bulk.h"
+#include "src/engine/reclaim_service.h"
 
 #include <atomic>
 #include <thread>
@@ -51,48 +52,25 @@ BulkFixture MakeFixture(size_t n_sources) {
   return out;
 }
 
-TEST(BulkReclaimTest, AllSourcesReclaimedInOrder) {
-  BulkFixture fx = MakeFixture(12);
-  BulkOptions options;
-  options.threads = 4;
-  std::vector<BulkOutcome> outcomes =
-      BulkReclaim(*fx.lake, fx.sources, {}, options);
-  ASSERT_EQ(outcomes.size(), fx.sources.size());
-  for (size_t i = 0; i < outcomes.size(); ++i) {
-    ASSERT_TRUE(outcomes[i].result.ok())
-        << i << ": " << outcomes[i].result.status().ToString();
-    EXPECT_DOUBLE_EQ(
-        EisScore(fx.sources[i], outcomes[i].result->reclaimed).value(), 1.0)
-        << "source " << i;
-  }
+// A one-shot service over `lake`: its dictionary, no discovery cache,
+// `threads` pool workers.
+std::unique_ptr<ReclaimService> OneShotService(const DataLake& lake,
+                                               size_t threads) {
+  ServiceOptions options;
+  options.dict = lake.dict();
+  options.cache_capacity = 0;
+  options.num_threads = threads;
+  auto service = std::make_unique<ReclaimService>(std::move(options));
+  EXPECT_TRUE(service->AddLakeView("lake", lake).ok());
+  return service;
 }
 
-TEST(BulkReclaimTest, ParallelMatchesSequential) {
-  BulkFixture fx = MakeFixture(8);
-  BulkOptions seq;
-  seq.threads = 1;
-  BulkOptions par;
-  par.threads = 4;
-  auto a = BulkReclaim(*fx.lake, fx.sources, {}, seq);
-  auto b = BulkReclaim(*fx.lake, fx.sources, {}, par);
-  ASSERT_EQ(a.size(), b.size());
-  for (size_t i = 0; i < a.size(); ++i) {
-    ASSERT_EQ(a[i].result.ok(), b[i].result.ok());
-    if (!a[i].result.ok()) continue;
-    // Same reclamation quality regardless of scheduling.
-    EXPECT_DOUBLE_EQ(
-        EisScore(fx.sources[i], a[i].result->reclaimed).value(),
-        EisScore(fx.sources[i], b[i].result->reclaimed).value());
-    EXPECT_EQ(a[i].result->originating_names, b[i].result->originating_names);
-  }
-}
-
-TEST(BulkReclaimTest, EmptyInputs) {
+TEST(ServiceBatchTest, EmptyInputs) {
   BulkFixture fx = MakeFixture(1);
-  EXPECT_TRUE(BulkReclaim(*fx.lake, {}).empty());
+  EXPECT_TRUE(OneShotService(*fx.lake, 2)->ReclaimBatch({}).empty());
 }
 
-TEST(BulkReclaimTest, KeylessSourceFailsItsSlotOnly) {
+TEST(ServiceBatchTest, KeylessSourceFailsItsSlotOnly) {
   BulkFixture fx = MakeFixture(3);
   Table keyless = TableBuilder(fx.lake->dict(), "keyless")
                       .Columns({"x"})
@@ -102,33 +80,34 @@ TEST(BulkReclaimTest, KeylessSourceFailsItsSlotOnly) {
   sources.push_back(fx.sources[0].Clone());
   sources.push_back(std::move(keyless));
   sources.push_back(fx.sources[2].Clone());
-  auto outcomes = BulkReclaim(*fx.lake, sources);
-  ASSERT_EQ(outcomes.size(), 3u);
-  EXPECT_TRUE(outcomes[0].result.ok());
-  EXPECT_FALSE(outcomes[1].result.ok());
-  EXPECT_TRUE(outcomes[2].result.ok());
+  auto results = OneShotService(*fx.lake, 2)->ReclaimBatch(sources);
+  ASSERT_EQ(results.size(), 3u);
+  EXPECT_TRUE(results[0].ok());
+  EXPECT_FALSE(results[1].ok());
+  EXPECT_TRUE(results[2].ok());
 }
 
-TEST(BulkReclaimTest, TpTrSmallSubsetUnderParallelism) {
+TEST(ServiceBatchTest, TpTrSmallSubsetUnderParallelism) {
   auto bench = MakeTpTrBenchmark("bulk", TpTrSmallConfig());
   ASSERT_TRUE(bench.ok());
   std::vector<Table> sources;
   for (size_t i = 0; i < 6 && i < bench->sources.size(); ++i) {
     sources.push_back(bench->sources[i].source.Clone());
   }
-  BulkOptions options;
-  options.threads = 4;
-  options.timeout_seconds = 30;
-  auto outcomes = BulkReclaim(*bench->lake, sources, {}, options);
+  ReclaimRequest request;
+  request.timeout_seconds = 30;
+  request.max_rows = 2'000'000;
+  auto results =
+      OneShotService(*bench->lake, 4)->ReclaimBatch(sources, request);
   size_t ok = 0;
-  for (auto& outcome : outcomes) ok += outcome.result.ok();
+  for (auto& result : results) ok += result.ok();
   EXPECT_GE(ok, 5u) << "parallel TP-TR reclamations failed";
 }
 
-// --- GenT::ReclaimBatch (engine worker pool + shared catalog) --------------
+// --- Batch determinism: bit-identical to serial GenT::Reclaim ---------------
 
 TEST(ReclaimBatchTest, FourThreadsBitIdenticalToSerialLoop) {
-  BulkFixture fx = MakeFixture(10);
+  BulkFixture fx = MakeFixture(12);
   GenT gent(*fx.lake);
 
   // The reference: plain serial Reclaim calls in input order.
@@ -137,14 +116,14 @@ TEST(ReclaimBatchTest, FourThreadsBitIdenticalToSerialLoop) {
     serial.push_back(gent.Reclaim(source));
   }
 
-  BatchOptions options;
-  options.num_threads = 4;
-  auto batch = gent.ReclaimBatch(fx.sources, options);
+  auto batch = OneShotService(*fx.lake, 4)->ReclaimBatch(fx.sources);
 
   ASSERT_EQ(batch.size(), serial.size());
   for (size_t i = 0; i < batch.size(); ++i) {
-    ASSERT_EQ(batch[i].ok(), serial[i].ok()) << "source " << i;
-    if (!batch[i].ok()) continue;
+    ASSERT_TRUE(batch[i].ok()) << i << ": " << batch[i].status().ToString();
+    ASSERT_TRUE(serial[i].ok()) << "source " << i;
+    EXPECT_DOUBLE_EQ(EisScore(fx.sources[i], batch[i]->reclaimed).value(), 1.0)
+        << "source " << i;
     EXPECT_TRUE(TablesBitIdentical(batch[i]->reclaimed, serial[i]->reclaimed))
         << "source " << i;
     EXPECT_EQ(batch[i]->originating_names, serial[i]->originating_names);
@@ -175,11 +154,9 @@ TEST(ReclaimBatchTest, RepeatedParallelRunsAreBitIdentical) {
     for (const auto& row : rows) f.Row(row);
     (void)fx.lake->AddTable(f.Build());
   }
-  GenT gent(*fx.lake);
-  BatchOptions options;
-  options.num_threads = 4;
-  auto first = gent.ReclaimBatch(fx.sources, options);
-  auto second = gent.ReclaimBatch(fx.sources, options);
+  auto service = OneShotService(*fx.lake, 4);
+  auto first = service->ReclaimBatch(fx.sources);
+  auto second = service->ReclaimBatch(fx.sources);
   ASSERT_EQ(first.size(), second.size());
   for (size_t i = 0; i < first.size(); ++i) {
     ASSERT_TRUE(first[i].ok()) << first[i].status().ToString();
@@ -197,11 +174,10 @@ TEST(ReclaimBatchTest, ExcludeSourceNameLeavesOneOut) {
     Table copy = source.Clone();
     (void)fx.lake->AddTable(std::move(copy));
   }
-  GenT gent(*fx.lake);
-  BatchOptions options;
-  options.num_threads = 2;
-  options.exclude_source_name = true;
-  auto results = gent.ReclaimBatch(fx.sources, options);
+  ReclaimRequest request;
+  request.exclude_source_name = true;
+  auto results =
+      OneShotService(*fx.lake, 2)->ReclaimBatch(fx.sources, request);
   ASSERT_EQ(results.size(), fx.sources.size());
   for (size_t i = 0; i < results.size(); ++i) {
     ASSERT_TRUE(results[i].ok()) << results[i].status().ToString();
@@ -218,13 +194,12 @@ TEST(ReclaimBatchTest, SharedCatalogAcrossGenTInstances) {
   BulkFixture fx = MakeFixture(3);
   auto catalog = std::make_shared<ColumnStatsCatalog>(*fx.lake);
   GenT a(catalog), b(catalog);
-  auto ra = a.ReclaimBatch(fx.sources, size_t{2});
-  auto rb = b.ReclaimBatch(fx.sources, size_t{1});
-  ASSERT_EQ(ra.size(), rb.size());
-  for (size_t i = 0; i < ra.size(); ++i) {
-    ASSERT_TRUE(ra[i].ok());
-    ASSERT_TRUE(rb[i].ok());
-    EXPECT_TRUE(TablesBitIdentical(ra[i]->reclaimed, rb[i]->reclaimed));
+  for (size_t i = 0; i < fx.sources.size(); ++i) {
+    auto ra = a.Reclaim(fx.sources[i]);
+    auto rb = b.Reclaim(fx.sources[i]);
+    ASSERT_TRUE(ra.ok());
+    ASSERT_TRUE(rb.ok());
+    EXPECT_TRUE(TablesBitIdentical(ra->reclaimed, rb->reclaimed));
   }
 }
 

@@ -79,7 +79,7 @@ class DiscoverySweep : public ::testing::TestWithParam<int> {};
 TEST_P(DiscoverySweep, MappedColumnsGenuinelyOverlap) {
   RandomLakeCase c = MakeRandomLake(GetParam() * 7331 + 3);
   GenT gent(*c.lake);
-  Discovery discovery(gent.index(), {});
+  Discovery discovery(gent.catalog(), {});
   auto candidates = discovery.FindCandidates(*c.source);
   ASSERT_TRUE(candidates.ok());
   for (const Candidate& cand : *candidates) {
@@ -104,7 +104,7 @@ TEST_P(DiscoverySweep, MappedColumnsGenuinelyOverlap) {
 TEST_P(DiscoverySweep, DistractorsNeverBecomeCandidates) {
   RandomLakeCase c = MakeRandomLake(GetParam() * 104729 + 11);
   GenT gent(*c.lake);
-  Discovery discovery(gent.index(), {});
+  Discovery discovery(gent.catalog(), {});
   auto candidates = discovery.FindCandidates(*c.source);
   ASSERT_TRUE(candidates.ok());
   for (const Candidate& cand : *candidates) {
@@ -120,8 +120,8 @@ TEST_P(DiscoverySweep, TauIsMonotone) {
   DiscoveryConfig lo, hi;
   lo.tau = 0.1;
   hi.tau = 0.7;
-  auto loose = Discovery(gent.index(), lo).FindCandidates(*c.source);
-  auto strict = Discovery(gent.index(), hi).FindCandidates(*c.source);
+  auto loose = Discovery(gent.catalog(), lo).FindCandidates(*c.source);
+  auto strict = Discovery(gent.catalog(), hi).FindCandidates(*c.source);
   ASSERT_TRUE(loose.ok());
   ASSERT_TRUE(strict.ok());
   // Raising τ can only shrink the candidate set (as a set of lake
@@ -139,13 +139,13 @@ TEST_P(DiscoverySweep, ExcludeTableIsHonored) {
   RandomLakeCase c = MakeRandomLake(GetParam() * 13 + 1);
   GenT gent(*c.lake);
   DiscoveryConfig config;
-  auto all = Discovery(gent.index(), config).FindCandidates(*c.source);
+  auto all = Discovery(gent.catalog(), config).FindCandidates(*c.source);
   ASSERT_TRUE(all.ok());
   if (all->empty()) GTEST_SKIP() << "no candidates for this seed";
   const std::string excluded =
       c.lake->table(all->front().lake_index).name();
   config.exclude_table = excluded;
-  auto rest = Discovery(gent.index(), config).FindCandidates(*c.source);
+  auto rest = Discovery(gent.catalog(), config).FindCandidates(*c.source);
   ASSERT_TRUE(rest.ok());
   for (const Candidate& cand : *rest) {
     EXPECT_NE(c.lake->table(cand.lake_index).name(), excluded);
@@ -155,7 +155,7 @@ TEST_P(DiscoverySweep, ExcludeTableIsHonored) {
 TEST_P(DiscoverySweep, ExactDuplicateIsPruned) {
   RandomLakeCase c = MakeRandomLake(GetParam() * 997 + 5);
   GenT base_gent(*c.lake);
-  auto base = Discovery(base_gent.index(), {}).FindCandidates(*c.source);
+  auto base = Discovery(base_gent.catalog(), {}).FindCandidates(*c.source);
   ASSERT_TRUE(base.ok());
   if (base->empty()) GTEST_SKIP() << "no candidates for this seed";
 
@@ -169,7 +169,7 @@ TEST_P(DiscoverySweep, ExactDuplicateIsPruned) {
   (void)bigger.AddTable(std::move(dup));
 
   GenT gent(bigger);
-  auto with_dup = Discovery(gent.index(), {}).FindCandidates(*c.source);
+  auto with_dup = Discovery(gent.catalog(), {}).FindCandidates(*c.source);
   ASSERT_TRUE(with_dup.ok());
   // The duplicate and its original must not both survive (paper
   // Example 9 / Algorithm 3 line 15).
@@ -188,7 +188,7 @@ TEST_P(DiscoverySweep, ExactDuplicateIsPruned) {
 TEST_P(DiscoverySweep, CandidatesSortedByScore) {
   RandomLakeCase c = MakeRandomLake(GetParam() * 41 + 9);
   GenT gent(*c.lake);
-  auto candidates = Discovery(gent.index(), {}).FindCandidates(*c.source);
+  auto candidates = Discovery(gent.catalog(), {}).FindCandidates(*c.source);
   ASSERT_TRUE(candidates.ok());
   for (size_t i = 1; i < candidates->size(); ++i) {
     EXPECT_GE((*candidates)[i - 1].score + 1e-12, (*candidates)[i].score);

@@ -13,7 +13,6 @@
 
 #include "src/benchgen/benchmarks.h"
 #include "src/engine/thread_pool.h"
-#include "src/lake/inverted_index.h"
 #include "src/table/table_builder.h"
 #include "src/util/random.h"
 
@@ -38,9 +37,10 @@ TEST(SortedDistinctValuesTest, SortsDedupsAndSkipsNulls) {
   for (ValueId v : vals) EXPECT_NE(v, kNull);
 }
 
-TEST(SortedDistinctValuesTest, SkipsLabeledNulls) {
+TEST(SortedDistinctValuesTest, SkipsNullsAndLabeledNulls) {
   auto dict = MakeDictionary();
-  Table t = TableBuilder(dict, "t").Columns({"a"}).Row({"x"}).Build();
+  Table t =
+      TableBuilder(dict, "t").Columns({"a"}).Row({"x"}).Row({""}).Build();
   t.AddRow({dict->CreateLabeledNull()});
   EXPECT_EQ(SortedDistinctValues(t, 0).size(), 1u);
   EXPECT_EQ(DistinctColumnValues(t, 0).size(), 1u);
@@ -77,13 +77,14 @@ TEST(SortedIntersectionSizeTest, GallopingSkewPathIsExactAndSymmetric) {
 
 TEST(SetIntersectionSizeTest, SkewedPairsAreSymmetric) {
   // The hash fallback guarantees the smaller set is probed into the
-  // larger whichever way it is called (inverted_index.h contract);
+  // larger whichever way it is called (column_stats_catalog.h contract);
   // counts must be identical in both orders.
   std::unordered_set<ValueId> small{5, 50, 500, 5000};
   std::unordered_set<ValueId> big;
   for (ValueId v = 1; v <= 2000; ++v) big.insert(v);
   EXPECT_EQ(SetIntersectionSize(small, big), 3u);
   EXPECT_EQ(SetIntersectionSize(big, small), 3u);
+  EXPECT_EQ(SetIntersectionSize(small, {}), 0u);
 }
 
 TEST(SortedDistinctValuesTest, BitmapAndSortPathsAgree) {
@@ -204,15 +205,6 @@ TEST_F(CatalogParityTest, OverlapResultsAreOrderedByDenseColumnId) {
   }
 }
 
-TEST_F(CatalogParityTest, TopKTablesMatchesInvertedIndexView) {
-  ColumnStatsCatalog catalog(*bench_->lake);
-  InvertedIndex index(*bench_->lake);
-  for (size_t s = 0; s < bench_->sources.size() && s < 4; ++s) {
-    const Table& source = bench_->sources[s].source;
-    EXPECT_EQ(catalog.TopKTables(source, 8), index.TopKTables(source, 8));
-  }
-}
-
 TEST(ColumnStatsCatalogTest, DenseIdsRoundTrip) {
   DataLake lake;
   (void)lake.AddTable(TableBuilder(lake.dict(), "a")
@@ -299,8 +291,8 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
   for (size_t threads : {size_t{1}, size_t{4}}) {
     std::vector<std::atomic<int>> hits(257);
     for (auto& h : hits) h = 0;
-    ParallelFor(threads, hits.size(),
-                [&](size_t i) { hits[i].fetch_add(1); });
+    ThreadPool pool(threads);
+    ParallelFor(&pool, hits.size(), [&](size_t i) { hits[i].fetch_add(1); });
     for (size_t i = 0; i < hits.size(); ++i) {
       EXPECT_EQ(hits[i].load(), 1) << "index " << i << " @" << threads;
     }
@@ -308,7 +300,8 @@ TEST(ParallelForTest, CoversEveryIndexExactlyOnce) {
 }
 
 TEST(ParallelForTest, EmptyRangeIsANoOp) {
-  ParallelFor(4, 0, [](size_t) { FAIL() << "must not be called"; });
+  ThreadPool pool(4);
+  ParallelFor(&pool, 0, [](size_t) { FAIL() << "must not be called"; });
 }
 
 TEST(ThreadPoolTest, GroupWaitIsScopedToItsOwnTasks) {

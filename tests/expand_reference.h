@@ -18,7 +18,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "src/lake/inverted_index.h"
+#include "src/engine/column_stats_catalog.h"
 #include "src/matrix/alignment_matrix.h"
 #include "src/matrix/expand.h"
 #include "src/ops/join.h"

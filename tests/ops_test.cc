@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "src/lake/inverted_index.h"
+#include "src/engine/column_stats_catalog.h"
 #include "src/ops/full_disjunction.h"
 #include "src/ops/fusion.h"
 #include "src/ops/join.h"

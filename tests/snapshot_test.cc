@@ -373,5 +373,76 @@ TEST_F(SnapshotTest, V2FullDiskSurfacesTypedError) {
                                        std::to_string(::getpid())));
 }
 
+// --- Untrusted length fields ---------------------------------------------------
+//
+// A length field is checked against the bytes left in the file before it
+// sizes an allocation or a loop, so a corrupt one fails with IOError
+// instead of throwing std::bad_alloc out of the library.
+
+// Offsets of the length fields in a v1 snapshot of a one-table lake, from
+// the body layout: magic (8), version (4), dictionary size (8) and entries
+// (4-byte length + bytes; id 0 is the empty string), table count (8), then
+// the table's name, column count and names, key count, keys, row count.
+struct LengthFields {
+  size_t dict_size = 12;
+  size_t key_count = 0;
+  size_t rows = 0;
+};
+
+LengthFields SaveOneTable(const std::string& path) {
+  DataLake lake;
+  (void)lake.AddTable(
+      TableBuilder(lake.dict(), "t").Columns({"k"}).Row({"1"}).Key({"k"}).Build());
+  EXPECT_TRUE(SaveSnapshot(lake, path).ok());
+  LengthFields f;
+  size_t off = f.dict_size + 8;
+  for (ValueId id = 1; id < lake.dict()->size(); ++id) {
+    off += 4 + lake.dict()->StringOf(id).size();
+  }
+  off += 4;                    // id 0
+  off += 8 + 5 + 4 + 5;        // table count, "t", column count, "k"
+  f.key_count = off;
+  f.rows = off + 4 + 4;        // key count, one key
+  return f;
+}
+
+// Checks that the field at `offset` holds `expected` (so the offsets
+// above track the format), overwrites it with `value`, and loads.
+template <typename T>
+Status LoadWithField(const std::string& path, size_t offset, T expected,
+                     T value) {
+  std::fstream f(path, std::ios::binary | std::ios::in | std::ios::out);
+  T old{};
+  f.seekg(static_cast<std::streamoff>(offset));
+  f.read(reinterpret_cast<char*>(&old), sizeof old);
+  EXPECT_EQ(old, expected) << "field offset drifted from the format";
+  f.seekp(static_cast<std::streamoff>(offset));
+  f.write(reinterpret_cast<const char*>(&value), sizeof value);
+  f.close();
+  DataLake fresh;
+  return LoadSnapshot(fresh, path);
+}
+
+TEST_F(SnapshotTest, CorruptDictionarySizeFailsWithIOError) {
+  const std::string path = Path("dict.snap");
+  const LengthFields f = SaveOneTable(path);
+  Status s = LoadWithField<uint64_t>(path, f.dict_size, 2, uint64_t{1} << 40);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+}
+
+TEST_F(SnapshotTest, CorruptKeyCountFailsWithIOError) {
+  const std::string path = Path("keys.snap");
+  const LengthFields f = SaveOneTable(path);
+  Status s = LoadWithField<uint32_t>(path, f.key_count, 1, 0xFFFFFFFFu);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+}
+
+TEST_F(SnapshotTest, CorruptRowCountFailsWithIOError) {
+  const std::string path = Path("rows.snap");
+  const LengthFields f = SaveOneTable(path);
+  Status s = LoadWithField<uint64_t>(path, f.rows, 1, uint64_t{1} << 40);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+}
+
 }  // namespace
 }  // namespace gent

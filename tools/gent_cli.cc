@@ -275,7 +275,7 @@ int CmdDiscover(const Flags& flags) {
   GenTConfig config;
   config.discovery.tau = flags.GetDouble("tau", config.discovery.tau);
   GenT gent(lake, config);
-  Discovery discovery(gent.index(), config.discovery);
+  Discovery discovery(gent.catalog(), config.discovery);
   auto candidates = discovery.FindCandidates(*source);
   if (!candidates.ok()) {
     std::fprintf(stderr, "discovery: %s\n",
