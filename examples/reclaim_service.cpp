@@ -5,10 +5,9 @@
 // expensive state resident instead: several lakes registered as catalog
 // shards, a bounded per-source discovery cache, and one worker pool.
 // This example registers two shards, routes requests to a named lake,
-// fans a request out across all shards (with and without the stats
-// prefilter), shows the discovery cache absorbing repeated sources,
-// submits work through the async admission queue, and removes a shard
-// while the service keeps serving.
+// fans a request out across all shards, shows the discovery cache
+// absorbing repeated sources, submits work through the async admission
+// queue, and removes a shard while the service keeps serving.
 //
 //   $ ./build/reclaim_service
 
@@ -104,17 +103,6 @@ int main() {
   std::printf("fan-out across all shards: %s\n",
               fanned.ok() ? "ok" : fanned.status().ToString().c_str());
 
-  // Stats-prefiltered fan-out: shards sharing no value with the source
-  // (here, "web" for a TP-TR source) are skipped before discovery runs.
-  // Results are bit-identical to the plain fan-out.
-  ReclaimRequest prefiltered = fan_out;
-  prefiltered.policy = RoutingPolicy::kStatsPrefilter;
-  auto pruned = service.Reclaim(tp->sources[0].source, prefiltered);
-  auto routing = service.routing_stats();
-  std::printf("stats-prefilter route: %s (%llu shards pruned so far)\n",
-              pruned.ok() ? "ok" : pruned.status().ToString().c_str(),
-              static_cast<unsigned long long>(routing.shards_pruned));
-
   // Async admission: submit every source, collect tickets, wait. The
   // admission queue is bounded (ServiceOptions::admission_capacity);
   // each ticket's result is bit-identical to a synchronous Reclaim.
@@ -146,7 +134,7 @@ int main() {
               service.num_lakes(),
               after.ok() ? "ok" : after.status().ToString().c_str());
 
-  return stats.hits > 0 && fanned.ok() && pruned.ok() && after.ok() &&
+  return stats.hits > 0 && fanned.ok() && after.ok() &&
                  async_ok == tickets.size()
              ? 0
              : 1;

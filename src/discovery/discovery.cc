@@ -51,8 +51,11 @@ Result<std::vector<Candidate>> Discovery::FindCandidates(
 
   // --- Recall stage -------------------------------------------------------
   std::vector<size_t> topk = catalog_.TopKTables(source, config_.top_k);
-  std::unordered_set<size_t> topk_set(topk.begin(), topk.end());
   GENT_RETURN_IF_ERROR(limits.Interrupted());
+  // Every later stage keeps only recalled tables, so a source sharing no
+  // value with the lake has no candidate: skip the per-column merges.
+  if (topk.empty()) return std::vector<Candidate>{};
+  std::unordered_set<size_t> topk_set(topk.begin(), topk.end());
 
   // --- Per-column containment search (Algorithm 3 lines 4-8) --------------
   // Source columns as sorted distinct sets; lake-side stats come from the

@@ -78,7 +78,8 @@ class Discovery {
   /// containment scan, per candidate build, before subsumption) and
   /// aborts with Cancelled/Timeout — never a truncated candidate list.
   /// Row budgets (OpLimits::MaxRows) do not apply here; discovery's
-  /// cardinality is bounded by the lake itself.
+  /// cardinality is bounded by the lake itself. A source sharing no
+  /// value with the lake returns no candidates right after recall.
   Result<std::vector<Candidate>> FindCandidates(
       const Table& source, const OpLimits& limits = {}) const;
 

@@ -424,31 +424,6 @@ std::vector<ColumnStatsCatalog::Overlap> ColumnStatsCatalog::OverlapCounts(
   return out;
 }
 
-bool ColumnStatsCatalog::SharesAnyValue(ValueSpan sorted_query) const {
-  // Same spine walk as OverlapCounts, but stopping at the first shared
-  // value — the routing prefilter only needs existence, and overlapping
-  // shards (the common case) usually match within a few steps. The
-  // spines (base and runs) are pinned in the mapped backend, so this
-  // route never faults.
-  for (const SpineRegion& rg : regions_) {
-    const ValueSpan spine = rg.spine;
-    size_t i = 0, j = 0;
-    while (i < sorted_query.size() && j < spine.size()) {
-      if (sorted_query[i] < spine[j]) {
-        ++i;
-      } else if (spine[j] < sorted_query[i]) {
-        j = static_cast<size_t>(
-            std::lower_bound(spine.begin() + static_cast<ptrdiff_t>(j),
-                             spine.end(), sorted_query[i]) -
-            spine.begin());
-      } else {
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
 std::vector<ValueId> SortedQueryValues(const Table& query) {
   std::vector<ValueId> values;
   for (size_t c = 0; c < query.num_cols(); ++c) {

@@ -181,16 +181,6 @@ class ColumnStatsCatalog {
   /// deterministic in (lake, query, k).
   std::vector<size_t> TopKTables(const Table& query, size_t k) const;
 
-  /// True if any `sorted_query` value (sorted, deduplicated, null-free)
-  /// occurs anywhere in the lake — a postings-spine merge that returns
-  /// at the first shared value, no per-column work. False means
-  /// discovery on this lake can produce no candidate for that query set
-  /// (the recall stage ranks by shared values and forwards only tables
-  /// sharing at least one), which is the invariant ReclaimService's
-  /// stats-prefilter route relies on to skip whole shards without
-  /// changing results. Thread-safe; deterministic in (lake, query).
-  bool SharesAnyValue(ValueSpan sorted_query) const;
-
   /// Borrowed views of the built arrays in snapshot-v2 section layout —
   /// what SaveSnapshotV2 serializes. Valid for the catalog's lifetime.
   /// Only meaningful for a single-region catalog (a fresh RAM build or
@@ -314,10 +304,8 @@ class ColumnStatsCatalog {
 std::vector<ValueId> SortedDistinctValues(const Table& t, size_t c);
 
 /// Sorted distinct non-null values across ALL columns of `query` — the
-/// whole-table query set. This is the one construction shared by the
-/// recall stage (TopKTables) and ReclaimService's stats-prefilter
-/// route; the prefilter is result-preserving precisely because both
-/// build the query set identically, so neither may drift alone.
+/// whole-table query set the recall stage (TopKTables) ranks lake
+/// tables by.
 std::vector<ValueId> SortedQueryValues(const Table& query);
 
 /// |a ∩ b| for sorted, deduplicated runs — the merge-intersect helper

@@ -39,11 +39,15 @@ OpLimits LimitsFromRequest(const ReclaimRequest& request) {
   return limits;
 }
 
+// Multiplicative backoff jitter: each delay is scaled by a factor in
+// [1 - kBackoffJitter, 1 + kBackoffJitter].
+constexpr double kBackoffJitter = 0.25;
+
 // Exponential backoff with deterministic per-(shard, attempt) jitter:
 // initial · 2^attempt capped at max, scaled by a splitmix-derived
-// factor in [1 - jitter, 1 + jitter]. Deterministic so recovery tests
-// are reproducible; distinct per shard so a fleet quarantined by one
-// event fans its retries out instead of thundering in lockstep.
+// jitter factor. Deterministic so recovery tests are reproducible;
+// distinct per shard so a fleet quarantined by one event fans its
+// retries out instead of thundering in lockstep.
 double BackoffSeconds(const ShardHealthOptions& o, uint64_t uid,
                       uint64_t attempt) {
   const double exp2 = std::ldexp(1.0, static_cast<int>(std::min<uint64_t>(
@@ -52,7 +56,7 @@ double BackoffSeconds(const ShardHealthOptions& o, uint64_t uid,
                           o.backoff_max_seconds);
   const uint64_t h = SplitMix64(uid * 0x9E3779B97F4A7C15ULL + attempt);
   const double unit = static_cast<double>(h >> 11) * 0x1p-53;  // [0, 1)
-  delay *= 1.0 - o.backoff_jitter + 2.0 * o.backoff_jitter * unit;
+  delay *= 1.0 - kBackoffJitter + 2.0 * kBackoffJitter * unit;
   return delay > 0 ? delay : 0.0;
 }
 
@@ -573,95 +577,43 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
            quarantined.end();
   };
 
-  // Resolve the routing policy to a target shard set and a route tag
-  // (see discovery_cache.h for the tag contract: uids, not indices).
-  RoutingPolicy policy = request.policy;
-  if (policy == RoutingPolicy::kAuto) {
-    policy = request.lake.empty() ? RoutingPolicy::kFanOutAll
-                                  : RoutingPolicy::kNamedShard;
-  }
-  if (policy == RoutingPolicy::kNamedShard && request.lake.empty()) {
-    return Status::InvalidArgument("kNamedShard requires a shard name");
-  }
-  if (policy != RoutingPolicy::kNamedShard && !request.lake.empty()) {
-    return Status::InvalidArgument(
-        "a fan-out policy conflicts with a named shard ('" + request.lake +
-        "')");
-  }
-
+  // Resolve the request to a target shard set and a route tag (see
+  // discovery_cache.h for the tag contract: uids, not indices). A named
+  // request goes to that shard; an unnamed one fans out.
   std::vector<size_t> targets;
   uint64_t route_tag = 0;
-  switch (policy) {
-    case RoutingPolicy::kNamedShard: {
-      auto it = registry.by_name.find(request.lake);
-      if (it == registry.by_name.end()) {
-        return Status::NotFound("no shard named '" + request.lake + "'");
-      }
-      if (is_quarantined(registry.shards[it->second]->uid)) {
-        unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
-        return Status::Unavailable("shard '" + request.lake +
-                                   "' is quarantined pending recovery");
-      }
-      targets.push_back(it->second);
-      route_tag = ShardRouteTag(registry.shards[it->second]->uid,
-                                registry.shards[it->second]->delta_gen);
-      break;
+  if (!request.lake.empty()) {
+    auto it = registry.by_name.find(request.lake);
+    if (it == registry.by_name.end()) {
+      return Status::NotFound("no shard named '" + request.lake + "'");
     }
-    case RoutingPolicy::kFanOutAll: {
-      if (quarantined.empty()) {
-        targets.resize(registry.shards.size());
-        for (size_t i = 0; i < registry.shards.size(); ++i) targets[i] = i;
-        route_tag = registry.fanout_tag;
-        break;
-      }
-      // Skipping a quarantined shard changes the answering shard set,
-      // so the cache route tag must cover exactly the survivors — a
-      // cached full-fan-out entry must not answer a degraded route.
-      std::vector<uint64_t> uids;
-      for (size_t i = 0; i < registry.shards.size(); ++i) {
-        if (is_quarantined(registry.shards[i]->uid)) {
-          quarantine_skipped_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        targets.push_back(i);
-        uids.push_back(ShardRouteTag(registry.shards[i]->uid,
-                                     registry.shards[i]->delta_gen));
-      }
-      route_tag = FoldRouteTags(uids);
-      break;
+    if (is_quarantined(registry.shards[it->second]->uid)) {
+      unavailable_rejects_.fetch_add(1, std::memory_order_relaxed);
+      return Status::Unavailable("shard '" + request.lake +
+                                 "' is quarantined pending recovery");
     }
-    case RoutingPolicy::kStatsPrefilter: {
-      // Skip shards the source shares no value with: recall ranks lake
-      // tables by shared distinct values and forwards only tables
-      // sharing at least one, so a zero-overlap shard cannot produce a
-      // candidate — dropping it is free and result-preserving.
-      // SortedQueryValues is the exact construction recall (TopKTables)
-      // uses, so !SharesAnyValue ⇒ recall forwards nothing from the
-      // shard.
-      const std::vector<ValueId> query = SortedQueryValues(source);
-      std::vector<uint64_t> selected_uids;
-      for (size_t i = 0; i < registry.shards.size(); ++i) {
-        if (is_quarantined(registry.shards[i]->uid)) {
-          quarantine_skipped_.fetch_add(1, std::memory_order_relaxed);
-          continue;
-        }
-        if (registry.shards[i]->gent->catalog().SharesAnyValue(query)) {
-          targets.push_back(i);
-          selected_uids.push_back(ShardRouteTag(
-              registry.shards[i]->uid, registry.shards[i]->delta_gen));
-        } else {
-          shards_pruned_.fetch_add(1, std::memory_order_relaxed);
-        }
+    targets.push_back(it->second);
+    route_tag = ShardRouteTag(registry.shards[it->second]->uid,
+                              registry.shards[it->second]->delta_gen);
+  } else if (quarantined.empty()) {
+    targets.resize(registry.shards.size());
+    for (size_t i = 0; i < registry.shards.size(); ++i) targets[i] = i;
+    route_tag = registry.fanout_tag;
+  } else {
+    // Skipping a quarantined shard changes the answering shard set, so
+    // the cache route tag must cover exactly the survivors — a cached
+    // full-fan-out entry must not answer a degraded route.
+    std::vector<uint64_t> uids;
+    for (size_t i = 0; i < registry.shards.size(); ++i) {
+      if (is_quarantined(registry.shards[i]->uid)) {
+        quarantine_skipped_.fetch_add(1, std::memory_order_relaxed);
+        continue;
       }
-      // Folding the surviving subset makes the tag coincide with the
-      // fan-out tag exactly when nothing was pruned — those routes
-      // share cache entries, which is correct because their results
-      // are identical.
-      route_tag = FoldRouteTags(selected_uids);
-      break;
+      targets.push_back(i);
+      uids.push_back(ShardRouteTag(registry.shards[i]->uid,
+                                   registry.shards[i]->delta_gen));
     }
-    case RoutingPolicy::kAuto:
-      return Status::Internal("unresolved routing policy");
+    route_tag = FoldRouteTags(uids);
   }
 
   DiscoveryConfig discovery = options_.config.discovery;
@@ -671,9 +623,8 @@ Result<ReclamationResult> ReclaimService::ReclaimImpl(
   // and config (candidates' Candidate::stats pointers reference their
   // own shard's catalog, which the pinned snapshot keeps alive), so any
   // shard's pipeline object can run it — all shards share
-  // options_.config. An empty target set (prefilter pruned everything)
-  // still runs the downstream pipeline with zero candidates, exactly
-  // what fanning out over only zero-overlap shards would produce.
+  // options_.config. An empty target set (every shard quarantined)
+  // still runs the downstream pipeline with zero candidates.
   const GenT& pipeline =
       *registry.shards[targets.empty() ? 0 : targets[0]]->gent;
   const bool use_cache =
@@ -889,41 +840,31 @@ Result<ReclaimTicket> ReclaimService::SubmitReclaim(
 
   const size_t pri = static_cast<size_t>(request.priority);
   const size_t capacity = options_.admission_capacity;
-  const size_t class_cap = options_.priority_capacity[pri];
   std::shared_ptr<ReclaimTicket::SharedState> shed_victim;
   bool need_pump = true;
   {
     std::unique_lock<std::mutex> lock(admission_mutex_);
-    auto total_full = [&]() {
+    auto full = [&]() {
       return capacity > 0 && admission_queued_ >= capacity;
     };
-    auto class_full = [&]() {
-      return class_cap > 0 && admission_queues_[pri].size() >= class_cap;
-    };
-    if (total_full() || class_full()) {
+    if (full()) {
       switch (options_.admission_policy) {
         case AdmissionPolicy::kReject:
           ++admission_rejected_;
           return Status::ResourceExhausted(
               "admission queue full (capacity " + std::to_string(capacity) +
-              ", class cap " + std::to_string(class_cap) + ")");
+              ")");
         case AdmissionPolicy::kBlock:
-          admission_space_.wait(
-              lock, [&]() { return !total_full() && !class_full(); });
+          admission_space_.wait(lock, [&]() { return !full(); });
           break;
         case AdmissionPolicy::kShedOldest: {
-          // Victim: a full class sheds its own oldest (that is the only
-          // way to free a class slot); a full total sheds the oldest
-          // entry of the lowest class at or below the newcomer's.
+          // Victim: the oldest entry of the lowest class at or below
+          // the newcomer's.
           size_t victim_class = kNumPriorityClasses;  // sentinel: none
-          if (class_full()) {
-            victim_class = pri;  // class_cap > 0 ⇒ queue non-empty
-          } else {
-            for (size_t p = kNumPriorityClasses; p-- > pri;) {
-              if (!admission_queues_[p].empty()) {
-                victim_class = p;
-                break;
-              }
+          for (size_t p = kNumPriorityClasses; p-- > pri;) {
+            if (!admission_queues_[p].empty()) {
+              victim_class = p;
+              break;
             }
           }
           if (victim_class == kNumPriorityClasses) {
@@ -1058,7 +999,6 @@ std::vector<ReclaimService::ShardResidency> ReclaimService::residency_stats()
 ReclaimService::RoutingStats ReclaimService::routing_stats() const {
   RoutingStats stats;
   stats.requests = requests_routed_.load(std::memory_order_relaxed);
-  stats.shards_pruned = shards_pruned_.load(std::memory_order_relaxed);
   stats.shards_quarantine_skipped =
       quarantine_skipped_.load(std::memory_order_relaxed);
   stats.unavailable_rejects =

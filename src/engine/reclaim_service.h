@@ -11,9 +11,8 @@
 //     binary snapshot or a CSV directory), and mutable at runtime:
 //     AddLake*/RemoveLake/ReloadLakeFromSnapshot run concurrently with
 //     in-flight requests (see "shard registry" below),
-//   * per-request routing: a request names its shard, fans out across
-//     every shard, or lets a stats prefilter skip shards that share no
-//     value with the source (RoutingPolicy),
+//   * per-request routing: a request names its shard or, with no name,
+//     fans out across every serving shard,
 //   * a bounded per-source discovery cache (src/engine/discovery_cache)
 //     so repeated sources skip the recall, Set Similarity, and
 //     expansion stages entirely — the cache stores the expanded
@@ -50,13 +49,11 @@
 // the result of a request is bit-identical regardless of thread count,
 // concurrent load, routing history, cache state, and whether it was
 // submitted synchronously or through the admission queue — a cache hit
-// replays exactly the candidate set discovery would produce, the
-// stats-prefilter route skips only shards that cannot contribute a
-// candidate, and the downstream pipeline is deterministic in its
-// inputs. Reclaim for a single-shard route is bit-identical to
-// GenT::Reclaim on that lake. Only wall-clock budgets
-// (ReclaimRequest::timeout_seconds) are scheduling-dependent, exactly
-// as in ReclaimBatch. Concurrent registry mutations choose which
+// replays exactly the candidate set discovery would produce, and the
+// downstream pipeline is deterministic in its inputs. Reclaim for a
+// single-shard route is bit-identical to GenT::Reclaim on that lake.
+// Only wall-clock budgets (ReclaimRequest::timeout_seconds) are
+// scheduling-dependent, exactly as in ReclaimBatch. Concurrent registry mutations choose which
 // snapshot a request pins (admission order), never what a pinned
 // snapshot answers.
 //
@@ -128,8 +125,8 @@ enum class ShardHealth {
   /// Serving, but recovered via the salvage path (body reload + catalog
   /// rebuild) because the snapshot's catalog tail stayed damaged.
   kDegraded = 1,
-  /// Not serving: routing skips the shard (fan-out policies answer from
-  /// the remaining shards; a named-shard request gets Unavailable)
+  /// Not serving: routing skips the shard (fan-out answers from the
+  /// remaining shards; a named-shard request gets Unavailable)
   /// while background recovery retries with exponential backoff.
   kQuarantined = 2,
 };
@@ -143,10 +140,6 @@ struct ShardHealthOptions {
   /// attempt up to backoff_max_seconds.
   double backoff_initial_seconds = 0.5;
   double backoff_max_seconds = 30.0;
-  /// Multiplicative jitter: each delay is scaled by a deterministic
-  /// per-(shard, attempt) factor in [1 - jitter, 1 + jitter], so a
-  /// fleet quarantined by one event does not retry in lockstep.
-  double backoff_jitter = 0.25;
   /// Give up rescheduling after this many failed recovery attempts
   /// (0 = retry forever). The shard then stays quarantined until an
   /// explicit ReloadLakeFromSnapshot/RemoveLake.
@@ -207,44 +200,18 @@ struct ServiceOptions {
   size_t admission_capacity = 1024;
   /// Queue-full behavior for SubmitReclaim.
   AdmissionPolicy admission_policy = AdmissionPolicy::kBlock;
-  /// Per-priority-class queue caps, indexed by RequestPriority (0 =
-  /// that class is uncapped). A full class applies admission_policy to
-  /// the newcomer's own class: kReject fails fast, kBlock waits for a
-  /// slot in the class, kShedOldest evicts the class's own oldest
-  /// entry. Caps compose with admission_capacity (both must admit).
-  std::array<size_t, kNumPriorityClasses> priority_capacity = {0, 0, 0};
   /// Catalog storage backend for snapshot-built shards.
   CatalogStorageOptions storage;
   /// Quarantine/recovery policy for shards that hit storage faults.
   ShardHealthOptions health;
 };
 
-/// How a request picks its catalog shard(s).
-enum class RoutingPolicy {
-  /// Back-compat default: named shard if ReclaimRequest::lake is set,
-  /// fan-out over all shards otherwise.
-  kAuto,
-  /// Route to ReclaimRequest::lake (InvalidArgument if empty, NotFound
-  /// if no such shard).
-  kNamedShard,
-  /// Discover on every shard and merge candidates by score
-  /// (ReclaimRequest::lake must be empty).
-  kFanOutAll,
-  /// Fan-out, but first consult each shard's ColumnStatsCatalog and
-  /// skip shards sharing no value with the source
-  /// (!ColumnStatsCatalog::SharesAnyValue). Such shards cannot
-  /// contribute a candidate, so results are bit-identical to
-  /// kFanOutAll; only the per-shard discovery work — and the cache
-  /// route tag, which covers exactly the surviving shard set — differ.
-  kStatsPrefilter,
-};
-
 /// Per-request options.
 struct ReclaimRequest {
-  /// Route to the shard with this name; empty = fan out (see `policy`).
+  /// Route to the shard with this name (NotFound if there is none);
+  /// empty = fan out over every non-quarantined shard and merge
+  /// candidates by score (DESIGN.md §5.6).
   std::string lake;
-  /// Shard-selection policy; kAuto preserves the pre-§5.6 behavior.
-  RoutingPolicy policy = RoutingPolicy::kAuto;
   /// Per-source wall-clock budget, seconds (0 = unlimited), measured
   /// from EXECUTION start. Scheduling-dependent; use max_rows where
   /// strict reproducibility matters. Budget-carrying requests may hit
@@ -522,10 +489,8 @@ class ReclaimService {
   std::vector<ShardResidency> residency_stats() const;
 
   struct RoutingStats {
-    /// Requests routed so far (any policy).
+    /// Requests routed so far (named or fan-out).
     uint64_t requests = 0;
-    /// Shards skipped by kStatsPrefilter (zero value overlap).
-    uint64_t shards_pruned = 0;
     /// Shards skipped by fan-out routing because they were quarantined.
     uint64_t shards_quarantine_skipped = 0;
     /// Named-shard requests rejected Unavailable (target quarantined).
@@ -704,7 +669,6 @@ class ReclaimService {
   mutable std::atomic<uint64_t> admission_cancelled_mid_flight_{0};
 
   mutable std::atomic<uint64_t> requests_routed_{0};
-  mutable std::atomic<uint64_t> shards_pruned_{0};
   mutable std::atomic<uint64_t> quarantine_skipped_{0};
   mutable std::atomic<uint64_t> unavailable_rejects_{0};
 

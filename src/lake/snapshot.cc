@@ -142,7 +142,7 @@ class Reader {
   }
   std::string String(uint32_t max_len = 1u << 24) {
     const uint32_t n = U32();
-    if (n > max_len) {
+    if (n > max_len || n > Remaining()) {
       failed_ = true;
       return {};
     }

@@ -1,8 +1,6 @@
 #include "src/matrix/expand.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <optional>
 #include <unordered_set>
@@ -209,14 +207,10 @@ Result<ExpandResult> Expand(const Table& source,
   OpLimits join_limits = limits;
   join_limits.MaxRows(std::min<uint64_t>(limits.max_rows(), 200000));
 
-  const bool debug = getenv("GENT_DEBUG_EXPAND") != nullptr;
-
   // One pool serves all three parallel phases. Every phase writes only
   // to its own index slot and reduces in candidate-index order, so
-  // thread count never changes results. Debug forces serial so the
-  // trace on stderr stays in candidate order.
-  size_t threads =
-      debug ? 1 : std::min(ThreadPool::ResolveThreads(options.num_threads), n);
+  // thread count never changes results.
+  size_t threads = std::min(ThreadPool::ResolveThreads(options.num_threads), n);
   std::unique_ptr<ThreadPool> pool;
   if (threads > 1 && n >= 4) pool = std::make_unique<ThreadPool>(threads);
 
@@ -293,18 +287,6 @@ Result<ExpandResult> Expand(const Table& source,
     GENT_RETURN_IF_ERROR(limits.Interrupted());
   }
 
-  if (debug) {
-    for (size_t i = 0; i < n; ++i) {
-      fprintf(stderr, "[edges] %s:", candidates[i].table.name().c_str());
-      for (const Edge& e : adj[i]) {
-        fprintf(stderr, " %s(w=%.2f,%s~%s)",
-                candidates[e.to].table.name().c_str(), e.pair.weight,
-                candidates[i].table.column_name(e.pair.a_col).c_str(),
-                candidates[e.to].table.column_name(e.pair.b_col).c_str());
-      }
-      fprintf(stderr, "\n");
-    }
-  }
   // Best join path from `start` to any key-covering candidate: Dijkstra
   // with edge cost (1 + penalty - w); `forced_first` optionally pins the
   // first hop (alternative-path enumeration).
@@ -378,13 +360,6 @@ Result<ExpandResult> Expand(const Table& source,
           auto unioned = InnerUnion(hop_table, candidates[other].table);
           if (unioned.ok()) hop_table = std::move(unioned).value();
         }
-      }
-      if (debug) {
-        fprintf(stderr, "[hop] %s: %s ~ %s (w=%.2f)\n",
-                cand.table.name().c_str(),
-                joined.column_name(pair->a_col).c_str(),
-                candidates[next].table.column_name(pair->b_col).c_str(),
-                pair->weight);
       }
       // Hop table on the LEFT so its column names -- including the mapped
       // source key columns of the path's end table -- survive the rename.
@@ -529,9 +504,6 @@ Result<ExpandResult> Expand(const Table& source,
       add_path(best_path(i, hop));
     }
     if (paths.empty()) {
-      if (debug) {
-        fprintf(stderr, "[drop] %s: no path\n", cand.table.name().c_str());
-      }
       slot.dropped = true;
       return;
     }
@@ -540,33 +512,18 @@ Result<ExpandResult> Expand(const Table& source,
     double best_score = -1.0;
     for (const auto& path : paths) {
       if (!limits.Interrupted().ok()) return;
-      if (debug) {
-        fprintf(stderr, "[expand] %s path:", cand.table.name().c_str());
-        for (size_t pnode : path) {
-          fprintf(stderr, " %s", candidates[pnode].table.name().c_str());
-        }
-        fprintf(stderr, "\n");
-      }
       auto expansion = build_expansion(i, path);
       if (!expansion.has_value()) continue;
       auto matrix =
           InitializeMatrix(source, *expansion, MatrixOptions{}, source_keys);
       if (!matrix.ok()) continue;
       double score = EvaluateMatrixSimilarity(*matrix, source);
-      if (debug) {
-        fprintf(stderr, "[expand] %s score=%.3f rows=%zu\n",
-                cand.table.name().c_str(), score, expansion->num_rows());
-      }
       if (score > best_score) {
         best_score = score;
         best_table = std::move(expansion);
       }
     }
     if (!best_table.has_value()) {
-      if (debug) {
-        fprintf(stderr, "[drop] %s: all paths failed\n",
-                cand.table.name().c_str());
-      }
       slot.dropped = true;
       return;
     }

@@ -48,8 +48,7 @@ struct ExpandOptions {
   /// materialization. 0 = hardware concurrency (uncapped); 1 = serial.
   /// Tiny candidate sets stay serial regardless — spinning a pool costs
   /// more than the scan. Thread count never changes results (per-slot
-  /// writes, reduced in candidate-index order). GENT_DEBUG_EXPAND
-  /// forces serial so the trace interleaves deterministically.
+  /// writes, reduced in candidate-index order).
   size_t num_threads = 0;
 };
 

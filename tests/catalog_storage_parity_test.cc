@@ -1,7 +1,7 @@
 // Backend parity: a ReclaimService whose catalogs are mmap-backed
 // (snapshot v2, opened without rebuild) must be bit-identical to one
 // whose catalogs are rebuilt in RAM — for Reclaim, ReclaimBatch, and
-// stats-prefilter routing, at every thread count. The two backends share
+// fan-out routing, at every thread count. The two backends share
 // one dictionary so even ValueIds are comparable.
 
 #include <filesystem>
@@ -38,7 +38,7 @@ class CatalogStorageParityTest : public ::testing::Test {
 
   // Vertical fragments: source s (k,a,b) splits into s<i>_frag_a and
   // s<i>_frag_b, all in one lake, plus distractor tables with disjoint
-  // values so the prefilter has something to prune.
+  // values that recall must never forward.
   void BuildFixture(size_t n_sources) {
     lake_ = std::make_unique<DataLake>(dict_);
     for (size_t s = 0; s < n_sources; ++s) {
@@ -165,7 +165,7 @@ TEST_F(CatalogStorageParityTest, ReclaimBitIdenticalAcrossBackends) {
   }
 }
 
-TEST_F(CatalogStorageParityTest, PrefilterRoutingBitIdenticalAcrossBackends) {
+TEST_F(CatalogStorageParityTest, FanOutRoutingBitIdenticalAcrossBackends) {
   BuildFixture(6);
   const std::string snap = SaveV2("lake.snap");
   auto ram = MakeService(snap, false, 2);
@@ -174,16 +174,11 @@ TEST_F(CatalogStorageParityTest, PrefilterRoutingBitIdenticalAcrossBackends) {
     GTEST_SKIP() << "mmap unavailable; parity is vacuous";
   }
   for (size_t s = 0; s < sources_.size(); ++s) {
-    ReclaimRequest request;
-    request.policy = RoutingPolicy::kStatsPrefilter;
+    ReclaimRequest request;  // empty lake = fan out
     ExpectBitIdentical(ram->Reclaim(sources_[s], request),
                        mapped->Reclaim(sources_[s], request),
-                       "prefilter source " + std::to_string(s));
+                       "fan-out source " + std::to_string(s));
   }
-  // The prefilter consults SharesAnyValue on the catalog; both backends
-  // must prune identically.
-  EXPECT_EQ(ram->routing_stats().shards_pruned,
-            mapped->routing_stats().shards_pruned);
 }
 
 class ParityThreadSweep : public CatalogStorageParityTest,

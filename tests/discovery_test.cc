@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <atomic>
 #include <unordered_map>
 
 #include <gtest/gtest.h>
@@ -229,6 +230,27 @@ TEST_F(DiscoveryTest, ThresholdFiltersWeakCandidates) {
   for (const auto& c : *cands) {
     EXPECT_NE(lake_.table(c.lake_index).name(), "noise");
   }
+}
+
+// Recall forwards only tables sharing a value with the source, so a
+// source sharing none gets no candidates; a fired cancel token still
+// surfaces as Cancelled rather than as an empty list.
+TEST_F(DiscoveryTest, SourceSharingNoValueGetsNoCandidates) {
+  Discovery discovery(*catalog_, DiscoveryConfig{});
+  Table source = TableBuilder(lake_.dict(), "s")
+                     .Columns({"id", "v"})
+                     .Row({"no-such-id", "no-such-value"})
+                     .Key({"id"})
+                     .Build();
+  auto cands = discovery.FindCandidates(source);
+  ASSERT_TRUE(cands.ok()) << cands.status().ToString();
+  EXPECT_TRUE(cands->empty());
+
+  std::atomic<bool> fired{true};
+  OpLimits cancelled;
+  cancelled.CancelToken(&fired);
+  EXPECT_EQ(discovery.FindCandidates(source, cancelled).status().code(),
+            StatusCode::kCancelled);
 }
 
 TEST_F(DiscoveryTest, ScoresAreDescending) {

@@ -238,29 +238,6 @@ TEST(ColumnStatsCatalogTest, NullsNeverEnterPostings) {
   EXPECT_TRUE(catalog.OverlapCounts(null_query).empty());
 }
 
-TEST(ColumnStatsCatalogTest, SharesAnyValueProbesTheWholeLake) {
-  DataLake lake;
-  (void)lake.AddTable(TableBuilder(lake.dict(), "a")
-                          .Columns({"x", "y"})
-                          .Row({"p", "q"})
-                          .Build());
-  (void)lake.AddTable(
-      TableBuilder(lake.dict(), "b").Columns({"z"}).Row({"r"}).Build());
-  ColumnStatsCatalog catalog(lake);
-  auto sorted = [&](std::vector<std::string> strs) {
-    std::vector<ValueId> ids;
-    for (const auto& s : strs) ids.push_back(lake.dict()->Intern(s));
-    std::sort(ids.begin(), ids.end());
-    return ids;
-  };
-  // A value from any table hits; any number of misses alone do not.
-  EXPECT_TRUE(catalog.SharesAnyValue(sorted({"q"})));
-  EXPECT_TRUE(catalog.SharesAnyValue(sorted({"r"})));
-  EXPECT_TRUE(catalog.SharesAnyValue(sorted({"nope", "r", "also-nope"})));
-  EXPECT_FALSE(catalog.SharesAnyValue(sorted({"nope", "also-nope"})));
-  EXPECT_FALSE(catalog.SharesAnyValue({}));
-}
-
 // --- ThreadPool -------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsEverySubmittedTask) {

@@ -93,7 +93,7 @@ class IncrementalIngestTest : public ::testing::Test {
   }
 
   // A sorted, deduplicated, null-free query set over pool values —
-  // what OverlapCounts/SharesAnyValue expect.
+  // what OverlapCounts expects.
   std::vector<ValueId> MakeQuerySet(const DictionaryPtr& dict,
                                     std::mt19937& rng) {
     std::uniform_int_distribution<int> nvals(1, 8);
@@ -109,8 +109,8 @@ class IncrementalIngestTest : public ::testing::Test {
   }
 
   // Full query-surface parity: every SortedValuesOf span, OverlapCounts
-  // and SharesAnyValue over random query sets, TopKTables over a probe
-  // table. EXPECT (not ASSERT) so one mismatch shows every divergence.
+  // over random query sets, TopKTables over a probe table. EXPECT (not
+  // ASSERT) so one mismatch shows every divergence.
   void ExpectCatalogParity(const ColumnStatsCatalog& layered,
                            const ColumnStatsCatalog& rebuilt,
                            const DataLake& lake, const DictionaryPtr& dict,
@@ -129,8 +129,6 @@ class IncrementalIngestTest : public ::testing::Test {
     for (int probe = 0; probe < 8; ++probe) {
       const std::vector<ValueId> q = MakeQuerySet(dict, rng);
       const ValueSpan qs(q.data(), q.size());
-      EXPECT_EQ(layered.SharesAnyValue(qs), rebuilt.SharesAnyValue(qs))
-          << context << " probe " << probe;
       const auto oa = layered.OverlapCounts(qs);
       const auto ob = rebuilt.OverlapCounts(qs);
       ASSERT_EQ(oa.size(), ob.size()) << context << " probe " << probe;
@@ -412,9 +410,7 @@ TEST_F(IncrementalIngestTest, ServiceAppendMatchesOneShot) {
 
       ReclaimRequest named;
       named.lake = "shard";
-      named.policy = RoutingPolicy::kNamedShard;
-      ReclaimRequest fan;
-      fan.policy = RoutingPolicy::kStatsPrefilter;
+      ReclaimRequest fan;  // empty lake = fan out
       for (const Table& source : sources_) {
         ExpectResultsIdentical(grown.Reclaim(source, named),
                                reference.Reclaim(source, named),
@@ -460,7 +456,6 @@ TEST_F(IncrementalIngestTest, AppendInvalidatesNamedRouteCache) {
 
   ReclaimRequest named;
   named.lake = "shard";
-  named.policy = RoutingPolicy::kNamedShard;
   const Table& source = sources_.front();
 
   auto first = service.Reclaim(source, named);
@@ -571,12 +566,7 @@ TEST_F(IncrementalIngestTest, ServeWhileAppendingIsRaceFree) {
   for (int r = 0; r < 4; ++r) {
     readers.emplace_back([&, r] {
       ReclaimRequest req;
-      if (r % 2 == 0) {
-        req.lake = "shard";
-        req.policy = RoutingPolicy::kNamedShard;
-      } else {
-        req.policy = RoutingPolicy::kStatsPrefilter;
-      }
+      if (r % 2 == 0) req.lake = "shard";  // odd readers fan out
       while (!stop.load(std::memory_order_acquire)) {
         auto res = service.Reclaim(sources_.front(), req);
         if (res.ok()) {
@@ -618,7 +608,6 @@ TEST_F(IncrementalIngestTest, ServeWhileAppendingIsRaceFree) {
   }
   ReclaimRequest named;
   named.lake = "shard";
-  named.policy = RoutingPolicy::kNamedShard;
   ExpectResultsIdentical(service.Reclaim(sources_.front(), named),
                          reference.Reclaim(sources_.front(), named), "final");
 

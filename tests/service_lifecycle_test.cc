@@ -367,13 +367,13 @@ TEST(ServiceLifecycleTest, AppendBumpsGenerationAndInvalidatesOnlyThatShard) {
   EXPECT_GT(service.cache_stats().hits, post_append.hits);
 }
 
-// --- Routing policies --------------------------------------------------------
+// --- Routing -----------------------------------------------------------------
 
-TEST(ServiceLifecycleTest, StatsPrefilterMatchesFanOutAndPrunes) {
+TEST(ServiceLifecycleTest, FanOutOverDisjointShardMatchesNamedRoute) {
   auto dict = MakeDictionary();
   DataLake relevant = MakePairedLake(dict, 0, 3);
   // A shard with entirely disjoint content: zero value overlap with
-  // sources 0-2, so the prefilter must skip it.
+  // sources 0-2, so its recall is empty and it adds no candidate.
   DataLake disjoint = MakePairedLake(dict, 50, 55);
 
   ServiceOptions options;
@@ -383,37 +383,23 @@ TEST(ServiceLifecycleTest, StatsPrefilterMatchesFanOutAndPrunes) {
   ASSERT_TRUE(service.AddLakeView("disjoint", disjoint).ok());
 
   ReclaimRequest fan_out;
-  fan_out.policy = RoutingPolicy::kFanOutAll;
   fan_out.bypass_cache = true;
-  ReclaimRequest prefilter;
-  prefilter.policy = RoutingPolicy::kStatsPrefilter;
-  prefilter.bypass_cache = true;
+  ReclaimRequest named;
+  named.lake = "relevant";
+  named.bypass_cache = true;
 
   for (size_t s = 0; s < 3; ++s) {
     Table source = MakeSource(dict, s);
     auto full = service.Reclaim(source, fan_out);
-    auto pruned = service.Reclaim(source, prefilter);
-    ExpectSameReclamation(pruned, full, "source " + std::to_string(s));
-    ASSERT_TRUE(pruned.ok());
-    EXPECT_DOUBLE_EQ(EisScore(source, pruned->reclaimed).value(), 1.0);
+    auto one = service.Reclaim(source, named);
+    ExpectSameReclamation(full, one, "source " + std::to_string(s));
+    ASSERT_TRUE(full.ok());
+    EXPECT_DOUBLE_EQ(EisScore(source, full->reclaimed).value(), 1.0);
   }
-  auto stats = service.routing_stats();
-  EXPECT_EQ(stats.requests, 6u);
-  EXPECT_EQ(stats.shards_pruned, 3u);  // "disjoint" skipped per request
-
-  // Policy/lake conflicts are rejected up front.
-  ReclaimRequest bad_named;
-  bad_named.policy = RoutingPolicy::kNamedShard;
-  EXPECT_EQ(service.Reclaim(MakeSource(dict, 0), bad_named).status().code(),
-            StatusCode::kInvalidArgument);
-  ReclaimRequest bad_fan;
-  bad_fan.policy = RoutingPolicy::kFanOutAll;
-  bad_fan.lake = "relevant";
-  EXPECT_EQ(service.Reclaim(MakeSource(dict, 0), bad_fan).status().code(),
-            StatusCode::kInvalidArgument);
+  EXPECT_EQ(service.routing_stats().requests, 6u);
 }
 
-TEST(ServiceLifecycleTest, PrefilterSharesCacheEntriesWithFanOutWhenNoPrune) {
+TEST(ServiceLifecycleTest, NamedRouteSharesCacheEntryWithOneShardFanOut) {
   auto dict = MakeDictionary();
   DataLake lake = MakePairedLake(dict, 0, 2);
   ServiceOptions options;
@@ -422,24 +408,16 @@ TEST(ServiceLifecycleTest, PrefilterSharesCacheEntriesWithFanOutWhenNoPrune) {
   ASSERT_TRUE(service.AddLakeView("lake", lake).ok());
 
   Table source = MakeSource(dict, 0);
-  ReclaimRequest fan_out;  // kAuto with empty lake = fan-out-all
+  ReclaimRequest fan_out;  // empty lake = fan out
   (void)service.Reclaim(source, fan_out);
   EXPECT_EQ(service.cache_stats().misses, 1u);
 
-  // Every shard overlaps, so the prefilter selects the full set and its
-  // route tag coincides with the fan-out tag: warm hit, same entry.
-  ReclaimRequest prefilter;
-  prefilter.policy = RoutingPolicy::kStatsPrefilter;
-  (void)service.Reclaim(source, prefilter);
-  EXPECT_EQ(service.cache_stats().hits, 1u);
-  EXPECT_EQ(service.cache_stats().misses, 1u);
-
   // On a one-shard registry a single-element fold IS the shard uid, so
-  // the named route shares the same entry too (identical results).
+  // the named route shares the fan-out's entry (identical results).
   ReclaimRequest named;
   named.lake = "lake";
   (void)service.Reclaim(source, named);
-  EXPECT_EQ(service.cache_stats().hits, 2u);
+  EXPECT_EQ(service.cache_stats().hits, 1u);
   EXPECT_EQ(service.cache_stats().misses, 1u);
 }
 

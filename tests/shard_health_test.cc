@@ -118,8 +118,7 @@ class ShardHealthTest : public ::testing::Test {
   // reclamation and the beta-only one (what a fan-out must serve while
   // alpha is quarantined).
   void BuildReferences() {
-    ReclaimRequest fan;
-    fan.policy = RoutingPolicy::kFanOutAll;
+    ReclaimRequest fan;  // empty lake = fan out
     auto full = MakeService(ShardHealthOptions{})->Reclaim(source_, fan);
     ASSERT_TRUE(full.ok()) << full.status().ToString();
     ref_full_.emplace(std::move(*full));
@@ -221,7 +220,6 @@ TEST_F(ShardHealthTest, QuarantineRoutesAroundFaultedShard) {
   // The faulting request itself still serves the full, bit-identical
   // answer (the injected fault poisons health, not bytes) ...
   ReclaimRequest fan;
-  fan.policy = RoutingPolicy::kFanOutAll;
   auto first = service->Reclaim(source_, fan);
   ASSERT_TRUE(first.ok());
   EXPECT_TRUE(Same(*first, *ref_full_));
@@ -242,16 +240,16 @@ TEST_F(ShardHealthTest, QuarantineRoutesAroundFaultedShard) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kUnavailable);
   EXPECT_EQ(service->routing_stats().unavailable_rejects, 1u);
 
-  // Fan-out (and prefilter fan-out) route around alpha and serve the
-  // beta-only reference bit-identically.
+  // Fan-out routes around alpha and serves the beta-only reference
+  // bit-identically, warm or cold.
   auto partial = service->Reclaim(source_, fan);
   ASSERT_TRUE(partial.ok());
   EXPECT_TRUE(Same(*partial, *ref_beta_));
-  ReclaimRequest prefilter;
-  prefilter.policy = RoutingPolicy::kStatsPrefilter;
-  auto pruned = service->Reclaim(source_, prefilter);
-  ASSERT_TRUE(pruned.ok());
-  EXPECT_TRUE(Same(*pruned, *ref_beta_));
+  ReclaimRequest cold = fan;
+  cold.bypass_cache = true;
+  auto repeat = service->Reclaim(source_, cold);
+  ASSERT_TRUE(repeat.ok());
+  EXPECT_TRUE(Same(*repeat, *ref_beta_));
   EXPECT_GE(service->routing_stats().shards_quarantine_skipped, 2u);
 
   // The healthy shard still answers by name.
@@ -269,7 +267,6 @@ TEST_F(ShardHealthTest, BackgroundRecoveryHealsWithNewUid) {
   if (!service) GTEST_SKIP() << "mmap unavailable";
 
   ReclaimRequest fan;
-  fan.policy = RoutingPolicy::kFanOutAll;
   ASSERT_TRUE(service->Reclaim(source_, fan).ok());  // triggers quarantine
   const uint64_t old_uid = HealthOf(*service, "alpha").uid;
 
@@ -323,7 +320,6 @@ TEST_F(ShardHealthTest, DamagedCatalogTailSalvagesToDegraded) {
 
   // Backend parity: the rebuilt catalog answers bit-identically.
   ReclaimRequest fan;
-  fan.policy = RoutingPolicy::kFanOutAll;
   auto after = service->Reclaim(source_, fan);
   ASSERT_TRUE(after.ok());
   EXPECT_TRUE(Same(*after, *ref_full_));
@@ -359,7 +355,6 @@ TEST_F(ShardHealthTest, RetryBudgetExhaustsAndStopsRescheduling) {
 
   // The service keeps answering from the surviving shard.
   ReclaimRequest fan;
-  fan.policy = RoutingPolicy::kFanOutAll;
   auto partial = service->Reclaim(source_, fan);
   ASSERT_TRUE(partial.ok());
   EXPECT_TRUE(Same(*partial, *ref_beta_));
@@ -388,7 +383,6 @@ TEST_F(ShardHealthTest, HammerFanOutDuringQuarantineHealCycles) {
   for (int t = 0; t < 3; ++t) {
     readers.emplace_back([&] {
       ReclaimRequest fan;
-      fan.policy = RoutingPolicy::kFanOutAll;
       while (!stop.load(std::memory_order_relaxed)) {
         auto r = service->Reclaim(source_, fan);
         if (!r.ok()) {

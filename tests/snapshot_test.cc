@@ -385,6 +385,7 @@ TEST_F(SnapshotTest, V2FullDiskSurfacesTypedError) {
 // the table's name, column count and names, key count, keys, row count.
 struct LengthFields {
   size_t dict_size = 12;
+  size_t table_name = 0;
   size_t key_count = 0;
   size_t rows = 0;
 };
@@ -400,6 +401,7 @@ LengthFields SaveOneTable(const std::string& path) {
     off += 4 + lake.dict()->StringOf(id).size();
   }
   off += 4;                    // id 0
+  f.table_name = off + 8;      // after the table count
   off += 8 + 5 + 4 + 5;        // table count, "t", column count, "k"
   f.key_count = off;
   f.rows = off + 4 + 4;        // key count, one key
@@ -434,6 +436,15 @@ TEST_F(SnapshotTest, CorruptKeyCountFailsWithIOError) {
   const std::string path = Path("keys.snap");
   const LengthFields f = SaveOneTable(path);
   Status s = LoadWithField<uint32_t>(path, f.key_count, 1, 0xFFFFFFFFu);
+  EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
+}
+
+// A string length under the 16 MiB per-string cap but past the end of
+// the file fails before the string is allocated.
+TEST_F(SnapshotTest, CorruptStringLengthFailsWithIOError) {
+  const std::string path = Path("name.snap");
+  const LengthFields f = SaveOneTable(path);
+  Status s = LoadWithField<uint32_t>(path, f.table_name, 1, (1u << 24) - 1);
   EXPECT_EQ(s.code(), StatusCode::kIOError) << s.ToString();
 }
 
